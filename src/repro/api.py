@@ -23,7 +23,7 @@ single entry point::
 
 Backend selection happens in exactly one place,
 :func:`repro.backends.resolve_backend`, with precedence *explicit
-``backend=`` argument > ``$REPRO_BACKEND`` > ``"interp"``*.
+``backend=`` argument > ``$REPRO_BACKEND`` > ``"stack"``*.
 
 The edit convention, uniform across the API: an edit entry point
 (:meth:`Session.edit`, ``ModList.insert/set/remove``, the marshalled input
@@ -144,7 +144,7 @@ class Session:
       defaults).
 
     ``backend`` resolves through :func:`repro.backends.resolve_backend`
-    (explicit argument > ``$REPRO_BACKEND`` > ``"interp"``).  ``engine``
+    (explicit argument > ``$REPRO_BACKEND`` > ``"stack"``).  ``engine``
     lets several sessions share one engine (or supply a pre-instrumented
     one); ``hook`` attaches an observability hook
     (:class:`repro.obs.events.TraceHook`) before anything runs.

@@ -11,8 +11,9 @@ Precedence, highest first:
 
 1. an explicit request (``backend=`` keyword / ``--backend`` flag);
 2. the ``REPRO_BACKEND`` environment variable (CI runs the whole suite
-   under ``REPRO_BACKEND=compiled``; an empty value counts as unset);
-3. the default, ``"interp"``.
+   under ``REPRO_BACKEND=interp`` and ``REPRO_BACKEND=compiled``; an
+   empty value counts as unset);
+3. the default, ``"stack"``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ BACKENDS = ("interp", "compiled", "stack")
 #: Environment variable consulted when no explicit backend is requested.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-DEFAULT_BACKEND = "interp"
+#: The backend used when nothing is requested: the stack machine, the
+#: fastest backend on run and propagate and the only one that runs deep
+#: inputs at CPython's default recursion limit.  ``interp`` stays the
+#: reference semantics and is one ``backend=`` away.
+DEFAULT_BACKEND = "stack"
 
 
 def resolve_backend(explicit: Optional[str] = None) -> str:

@@ -9,7 +9,8 @@
 and returns a :class:`CompiledProgram` holding both executables:
 
 * the conventional one (pre-translation SXML + conventional interpreter);
-* the self-adjusting one (translated SXML + engine-backed interpreter).
+* the self-adjusting one (translated SXML run on the engine by one of the
+  backends in :mod:`repro.backends`; the stack machine by default).
 
 Compiler options mirror the paper's evaluation axes:
 
@@ -74,12 +75,13 @@ class SelfAdjustingInstance:
     trace; afterwards, change the input through its handles and call
     :meth:`propagate`.
 
-    ``backend`` selects how the translated SXML executes: ``"interp"``
-    (the tree-walking interpreter), ``"compiled"`` (the closure-
-    compilation backend, staged once at instance creation), or ``"stack"``
-    (the flat stack-machine backend: recursion-free execution for deep
-    inputs).  All produce identical outputs, traces, and meter counts;
-    ``None`` defers to :func:`repro.backends.resolve_backend`.
+    ``backend`` selects how the translated SXML executes: ``"stack"``
+    (the default: the flat stack-machine backend, recursion-free so deep
+    inputs run at any recursion limit), ``"interp"`` (the tree-walking
+    interpreter, the reference semantics), or ``"compiled"`` (the
+    closure-compilation backend, staged once at instance creation).  All
+    produce identical outputs, traces, and meter counts; ``None`` defers
+    to :func:`repro.backends.resolve_backend`.
     """
 
     def __init__(

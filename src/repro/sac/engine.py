@@ -2294,9 +2294,11 @@ class Engine:
             return RecursionReexecutionError(
                 f"re-execution of {edge!r} overflowed the interpreter "
                 f"stack; the interp/compiled backends nest one Python "
-                f"frame per traced cell, so deep inputs need the "
-                f'recursion-free backend="stack", a recursion limit above '
-                f"the current {self.recursion_limit} (set "
+                f"frame per traced cell, so deep inputs need the default "
+                f'recursion-free backend="stack" (drop the backend= '
+                f"argument, --backend flag or REPRO_BACKEND setting that "
+                f"picked interp/compiled), a recursion limit above the "
+                f"current {self.recursion_limit} (set "
                 f"REPRO_RECURSION_LIMIT), or a smaller input",
                 edge=edge,
                 original=exc,

@@ -91,12 +91,14 @@ class ReexecutionError(PropagationError):
 class RecursionReexecutionError(ReexecutionError):
     """A re-executed reader overflowed the Python stack.
 
-    Self-adjusting readers nest one Python frame per traced cell, so deep
-    inputs need a high interpreter recursion limit.  The engine raises the
-    limit to ``Engine.RECURSION_LIMIT`` (overridable through the
+    Readers of the ``interp`` and ``compiled`` backends nest one Python
+    frame per traced cell, so deep inputs need a high interpreter
+    recursion limit.  The engine raises the limit to
+    ``Engine.RECURSION_LIMIT`` (overridable through the
     ``REPRO_RECURSION_LIMIT`` environment variable); hitting it anyway
-    usually means the input outgrew the configured limit -- raise the
-    limit or reduce the input size.  Raised as a typed
+    usually means the input outgrew the configured limit -- switch back
+    to the default, recursion-free ``stack`` backend, raise the limit,
+    or reduce the input size.  Raised as a typed
     :class:`ReexecutionError` so it carries the same recovery guarantees
     (interval spliced out, edge re-queued) instead of unwinding the
     propagation loop raw.

@@ -26,7 +26,16 @@ argument is built from internable pieces:
   ``1``/``True``/``1.0`` never conflate;
 * tuples of internable pieces;
 * modifiables (identity: a modifiable *is* its own canonical name);
-* already-canonical constructor values (identity, via :class:`_Ref`).
+* already-canonical constructor values (identity).
+
+Identity pieces are keyed by ``id()``, never by the object itself.  The
+key of a :class:`weakref.WeakValueDictionary` entry is held strongly by
+the process-wide table, and a modifiable reaches its readers and, through
+them, the canonical value the entry maps to -- so an object held in a key
+would keep its own entry, and the whole trace around it, alive forever.
+The ``id()`` is sound because the canonical value's ``arg`` pins every
+piece its key names: while the entry is live, no other object can carry
+one of those ids, and when the value dies the entry goes with it.
 
 Anything else -- floats (``NaN``/``-0.0`` break the equality lattice),
 closures, non-canonical constructor values -- bypasses the table; the cell
@@ -44,30 +53,6 @@ from repro.sac.modifiable import Modifiable
 
 #: Key for a nullary constructor argument (``arg is None``).
 _NONE_KEY = ("none",)
-
-
-class _Ref:
-    """Identity key for a canonical constructor value.
-
-    Canonical values are compared by identity inside intern keys: hashing
-    them structurally would walk the spine (defeating the point), and raw
-    Python ``==`` would conflate e.g. ``Con("C", 1)`` with ``Con("C", True)``.
-    The wrapper holds a strong reference; it lives inside the key of a
-    :class:`weakref.WeakValueDictionary` entry, which is dropped as soon as
-    the entry's (parent) value is collected, so children are pinned only
-    while an interned parent still exists.
-    """
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: Any) -> None:
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other: Any) -> bool:
-        return type(other) is _Ref and other.obj is self.obj
 
 
 class InternTable:
@@ -127,7 +112,7 @@ class InternTable:
         if t is int or t is str or t is bool:
             return (t, value)
         if t is Modifiable:
-            return value
+            return id(value)
         if t is tuple:
             if len(value) == 2:
                 # Every cons cell carries a (head, tail) pair: build the
@@ -147,10 +132,8 @@ class InternTable:
                     return None
                 parts.append(k)
             return tuple(parts)
-        if getattr(value, "_hc", False):
-            return _Ref(value)
-        if isinstance(value, Modifiable):
-            return value
+        if getattr(value, "_hc", False) or isinstance(value, Modifiable):
+            return id(value)
         return None
 
     def stats(self) -> dict:

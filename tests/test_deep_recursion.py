@@ -10,8 +10,9 @@ of 1000.
 
 These tests pin both sides of that contract:
 
-* the stack backend runs and propagates a 10^5-element cons chain and a
-  deep mergesort with ``sys.setrecursionlimit(1000)`` in effect;
+* the stack backend -- the default one, so also a ``Session`` built
+  without ``backend=`` -- runs and propagates a 10^5-element cons chain
+  and a deep mergesort with ``sys.setrecursionlimit(1000)`` in effect;
 * at that limit the recursive backends overflow -- ``RecursionError``
   during the initial run, and the engine's typed
   :class:`RecursionReexecutionError` (whose message recommends
@@ -37,6 +38,7 @@ import sys
 
 import pytest
 
+from repro.api import Session
 from repro.apps import REGISTRY
 from repro.interp.values import list_value_to_python
 from repro.sac.engine import Engine
@@ -89,6 +91,30 @@ def test_stack_deep_cons_chain_at_default_limit(recursion_limit):
         handle.set(index, 1_000_000_000 + index)
         engine.propagate()
         assert list_value_to_python(output) == app.reference(
+            handle.to_python()
+        )
+
+
+def test_default_session_deep_cons_chain_at_default_limit(
+    recursion_limit, monkeypatch
+):
+    """The default backend is the stack machine: a ``Session`` built with
+    no ``backend=`` runs, edits and propagates the ``DEEP_N``-element
+    chain at CPython's default limit."""
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    session = Session("map")
+    assert session.backend == "stack"
+    session.prepare(session.app.make_data(DEEP_N, random.Random(7)))
+    handle = session.input_handle
+    sys.setrecursionlimit(DEFAULT_LIMIT)
+    output = session.run()
+    assert list_value_to_python(output) == session.app.reference(
+        handle.to_python()
+    )
+    for index in (0, DEEP_N // 2, DEEP_N - 1):
+        handle.set(index, 1_000_000_000 + index)
+        session.propagate()
+        assert list_value_to_python(output) == session.app.reference(
             handle.to_python()
         )
 

@@ -32,6 +32,7 @@ import pytest
 
 from repro.api import Session, values_close
 from repro.apps import REGISTRY
+from repro.obs.faults import FaultInjector
 from repro.obs.invariants import check_trace
 from repro.sac.engine import UNIV, Engine
 from repro.sac.exceptions import (
@@ -244,18 +245,14 @@ def test_recovery_paths_preserve_summary_soundness(on_error):
     for step in range(6):
         app.apply_change(session.input_handle, rng, step)
 
-    real_write = session.engine.write
-    hits = {"n": 0}
-
-    def flaky_write(dest, value):
-        hits["n"] += 1
-        if hits["n"] == 3:  # exactly once, so recovery itself succeeds
-            raise ValueError("flaky reader")
-        return real_write(dest, value)
-
-    session.engine.write = flaky_write
+    # The third write of the demand fails, exactly once, so recovery itself
+    # succeeds.  A trace-site hook, unlike a patched ``engine.write``,
+    # reaches every backend (the closure backend binds ``write`` at
+    # staging time).
+    engine = session.engine
+    engine.attach_hook(FaultInjector("write", at=2, exc=ValueError("flaky reader")))
     stats = session.demand(on_error=on_error)
-    session.engine.write = real_write
+    engine.attach_hook(None)
     assert stats.path == on_error
     session.demand()
     rng_o = random.Random(41)

@@ -500,6 +500,48 @@ def test_pool_replays_journal_suffix_after_simulated_kill(tmp_path):
     asyncio.run(main())
 
 
+def test_pool_reopens_interp_checkpoints_on_their_backend(tmp_path, monkeypatch):
+    """Checkpoints written by an ``interp`` pool survive the switch of the
+    default backend to ``stack``: a default pool restores each document
+    warm on the backend its snapshot records and replays the journal
+    suffix, while a new document opens on the default backend."""
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    docs = {
+        "lazy-doc": ("lazy", [("cell:1", 99.5)]),
+        "eager-doc": ("eager", [("cell:2", 5.0), ("cell:9", -4.25)]),
+    }
+
+    async def main():
+        old = SessionPool(
+            backend="interp",
+            checkpoint_dir=str(tmp_path),
+            checkpoint_every=10_000,
+        )
+        for name, (mode, edits) in docs.items():
+            old.open(name, app="vec-reduce", n=16, seed=3, mode=mode)
+            for cell, value in edits:
+                await old.edit(name, cell, value)
+        # No stop(): the edits stay in the journal suffix.
+
+        pool = SessionPool(checkpoint_dir=str(tmp_path))
+        for name, (mode, edits) in docs.items():
+            info = pool.open(name, app="vec-reduce", n=16, seed=999, mode=mode)
+            assert info["recovered"] is True
+            assert info["backend"] == "interp"
+            assert info["replayed"] == len(edits)
+            for cell, value in edits:
+                assert (await pool.get(name, cell))["value"] == value
+            got = await pool.demand(name)
+            assert values_close(got["value"], _expected(pool, name))
+        info = pool.open("new-doc", app="vec-reduce", n=16, seed=1)
+        assert info["backend"] == "stack"
+        got = await pool.demand("new-doc")
+        assert values_close(got["value"], _expected(pool, "new-doc"))
+        await pool.stop()
+
+    asyncio.run(main())
+
+
 def test_pool_corrupt_snapshot_degrades_to_cold_open(tmp_path):
     """A corrupted snapshot is detected, counted, and degraded around: the
     document cold-opens and still replays the journal suffix, so the

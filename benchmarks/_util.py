@@ -57,12 +57,17 @@ def format_spread_rows(title: str, rows: dict) -> str:
     return "\n".join(lines)
 
 
-def emit(capsys, title: str, text: str) -> None:
-    """Print benchmark output to the real terminal and save it to a file."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    filename = title.lower().replace(" ", "_").replace("/", "-") + ".txt"
-    with open(os.path.join(RESULTS_DIR, filename), "w") as fh:
-        fh.write(text + "\n")
+def emit(capsys, title: str, text: str, *, save: bool = True) -> None:
+    """Print benchmark output to the real terminal and save it to a file.
+
+    Benches run at overridden sizes (a smoke run) pass ``save=False``: the
+    table is printed but the checked-in file in ``results/`` is left alone.
+    """
+    if save:
+        os.makedirs(RESULTS_DIR, exist_ok=True)
+        filename = title.lower().replace(" ", "_").replace("/", "-") + ".txt"
+        with open(os.path.join(RESULTS_DIR, filename), "w") as fh:
+            fh.write(text + "\n")
     banner = f"\n===== {title} =====\n"
     if capsys is not None:
         with capsys.disabled():

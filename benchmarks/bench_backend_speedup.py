@@ -113,4 +113,4 @@ def test_backend_speedup_msort(benchmark, capsys):
                 f"{backend} propagation slower than interp: {speedups}"
             )
 
-    emit(capsys, "Backend speedup", text)
+    emit(capsys, "Backend speedup", text, save=not _SMOKE)

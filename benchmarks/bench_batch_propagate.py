@@ -122,4 +122,4 @@ def test_batch_propagate_msort(benchmark, capsys):
             f"trace grew to {growth:.2f}x a fresh run over 500 batched edits"
         )
 
-    emit(capsys, "Batch propagate", text)
+    emit(capsys, "Batch propagate", text, save=not _SMOKE)

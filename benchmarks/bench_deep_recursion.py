@@ -133,4 +133,4 @@ def test_deep_recursion_sweep(benchmark, capsys):
             "so the results still demonstrate the overflow boundary"
         )
 
-    emit(capsys, "Deep recursion", text)
+    emit(capsys, "Deep recursion", text, save=not _SMOKE)

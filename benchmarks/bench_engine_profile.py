@@ -20,7 +20,9 @@ from repro.obs.profile import profile_app
 
 from _util import emit, once
 
-N = int(os.environ.get("REPRO_PROFILE_SIZE") or 64)
+_SIZES_ENV = os.environ.get("REPRO_PROFILE_SIZE")
+N = int(_SIZES_ENV or 64)
+_SMOKE = _SIZES_ENV is not None
 CHANGES = 8
 
 
@@ -44,4 +46,4 @@ def test_engine_profile_msort(benchmark, capsys):
             )
 
     text = "\n\n".join(report.format() for report in reports)
-    emit(capsys, "Engine profile", text)
+    emit(capsys, "Engine profile", text, save=not _SMOKE)

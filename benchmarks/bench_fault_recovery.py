@@ -110,4 +110,4 @@ def test_fault_recovery_msort(benchmark, capsys):
             f"from-scratch rebuild ({rebuild[at256]:.4f}s) at n=256"
         )
 
-    emit(capsys, "Fault recovery", text)
+    emit(capsys, "Fault recovery", text, save=not _SMOKE)

@@ -79,4 +79,4 @@ def test_fig6_msort_scaling(benchmark, capsys):
         # noise-resistant minima.)
         assert sum(c.sa_run for c in compiled) < sum(r.sa_run for r in rows)
 
-    emit(capsys, "Figure 6", text)
+    emit(capsys, "Figure 6", text, save=not _SMOKE)

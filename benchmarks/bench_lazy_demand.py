@@ -132,7 +132,7 @@ def test_lazy_demand_msort(benchmark, capsys):
             f"{speedups[at256]:.2f}x"
         )
 
-    emit(capsys, "Lazy demand", text)
+    emit(capsys, "Lazy demand", text, save=not _SMOKE)
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_repeated_demand_summary_vs_dfs(benchmark, capsys):
             f"n=256: {visits_per_verdict[at256]:.2f} visits/verdict"
         )
 
-    emit(capsys, "Lazy demand repeated", text)
+    emit(capsys, "Lazy demand repeated", text, save=not _SMOKE)
 
 
 def test_many_targets_demand_summary_vs_dfs(benchmark, capsys):
@@ -284,4 +284,4 @@ def test_many_targets_demand_summary_vs_dfs(benchmark, capsys):
         SIZES,
         series,
     )
-    emit(capsys, "Lazy demand many targets", text)
+    emit(capsys, "Lazy demand many targets", text, save=not _SMOKE)

@@ -29,7 +29,9 @@ from repro.obs import EventLog, TraceHook
 
 from _util import emit, once
 
-N = int(os.environ.get("REPRO_OBS_OVERHEAD_N", "400"))
+_SIZES_ENV = os.environ.get("REPRO_OBS_OVERHEAD_N")
+N = int(_SIZES_ENV or 400)
+_SMOKE = _SIZES_ENV is not None
 PROP_SAMPLES = 16
 
 
@@ -80,7 +82,7 @@ def test_obs_overhead_msort(benchmark, capsys):
         lines.append(f"  {name:<14} {seconds:8.4f}s  ({seconds / base:5.2f}x)")
     noise = abs(times["disabled (a)"] - times["disabled (b)"]) / base
     lines.append(f"  disabled-vs-disabled spread (noise floor): {noise:.1%}")
-    emit(capsys, "Observability overhead", "\n".join(lines))
+    emit(capsys, "Observability overhead", "\n".join(lines), save=not _SMOKE)
 
     # The disabled hook must be free up to measurement noise (<5% target);
     # the noop hook pays one Python call per event and must stay moderate.

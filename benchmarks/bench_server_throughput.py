@@ -190,4 +190,4 @@ def test_server_throughput(benchmark, capsys):
     assert isolation["pool_failed"] == 0
     assert isolation["sibling_recoveries"] == 0
 
-    emit(capsys, "Server throughput", text)
+    emit(capsys, "Server throughput", text, save=not _SMOKE)

@@ -121,7 +121,7 @@ def test_warm_restart(benchmark, capsys, tmp_path):
     session.snapshot(snap)
     once(benchmark, lambda: Session.restore(snap, app))
 
-    emit(capsys, "warm restart", "\n\n".join(sections))
+    emit(capsys, "warm restart", "\n\n".join(sections), save=not _SMOKE)
 
     if not _SMOKE:
         for app_name, n, rows in checks:

@@ -22,6 +22,11 @@ checkable in one walk of the timestamp order:
    in the upward reader-closure of a dirty live edge's recorded
    destination is suspect, so a demand can never fast-path a modifiable
    that still has stale feeders anywhere below it.
+6. **Balanced bookkeeping** (quiescent checks) -- no mod or re-execution
+   scope is still open: mod and re-execution depths are zero, and the
+   destination stack and demand-drain read counts are empty.  An
+   exception that unwinds a primitive without closing its scope leaks
+   exactly this state.
 
 :func:`check_trace` performs these structural checks on a quiescent
 engine.  :class:`InvariantChecker` is a :class:`~repro.obs.events.TraceHook`
@@ -67,8 +72,26 @@ def check_trace(
 
     Raises :class:`InvariantViolation` on the first violation; returns a
     :class:`TraceCheckReport` otherwise.  ``expect_quiescent=False`` allows
-    unfinished intervals (``end is None``), for checks taken mid-run.
+    unfinished intervals (``end is None``) and open mod/read scopes, for
+    checks taken mid-run.
     """
+    # 6. Balanced bookkeeping: a quiescent engine has no scope open.
+    if expect_quiescent:
+        leftovers = [
+            f"{name}={value!r}"
+            for name, value in (
+                ("_mod_depth", engine._mod_depth),
+                ("_reexec_depth", engine._reexec_depth),
+                ("_dest_stack", engine._dest_stack),
+                ("_demand_reads", engine._demand_reads),
+            )
+            if value
+        ]
+        if leftovers:
+            raise InvariantViolation(
+                "scope bookkeeping left over in a quiescent engine: "
+                + ", ".join(leftovers)
+            )
     # 1. The order itself: strictly increasing labels, intact links.
     try:
         engine.order.check()

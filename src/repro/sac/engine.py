@@ -129,7 +129,7 @@ class _DemandStaleRead(Exception):
     set aside -- a *stale* one.  Reading it anyway is hazardous: with
     ``keyed_mod`` identity recycling the stale structure can be *cyclic*,
     and a reader following the loop recurses to the interpreter limit
-    instead of converging through re-dirtying.  :meth:`Engine.read`
+    instead of converging through re-dirtying.  :meth:`Engine.read_begin`
     raises this when a suspect modifiable with no current reader path to
     the demand target is about to be read (and, as a backstop, when any
     modifiable is re-entered :data:`Engine.CYCLE_READ_DEPTH` reads deep);
@@ -289,9 +289,8 @@ class Engine:
         #: reader runs; once one is observed, :meth:`demand` degrades to a
         #: full propagation (still correct, no longer lazy).
         self._has_imperative = False
-        #: non-None exactly while a demand drain is re-executing: the
         #: the active demand drain's relevance memo (None outside demand
-        #: drains), consulted by :meth:`read` to refuse reads of
+        #: drains), consulted by :meth:`read_begin` to refuse reads of
         #: possibly-stale modifiables (see :class:`_DemandStaleRead`).
         self._drain_feeds: Optional[dict] = None
         #: generation for negative relevance verdicts (see :meth:`_feeds`);
@@ -505,11 +504,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Trace construction primitives
 
-    def _advance(self) -> Stamp:
-        stamp = self._insert_after(self.now)
-        self.now = stamp
-        return stamp
-
     def make_input(self, value: Any) -> Modifiable:
         """Create an input modifiable holding ``value``.
 
@@ -536,39 +530,13 @@ class Engine:
         the engine exactly as it was.  Failures inside propagation are
         handled by :meth:`propagate`'s transactional re-execution instead.
         """
-        if self._poison is not None:
-            self._check_usable()
-        dest = Modifiable()
-        self.meter.mods_created += 1
-        if self.hook is not None:
-            self.hook.on_mod_create(dest, False, False)
-        dest_stack = self._dest_stack
-        if self._mod_depth == 0 and self._reexec_depth == 0:
-            checkpoint = self.now
-            self._mod_depth += 1
-            dest_stack.append(dest)
-            try:
-                comp(dest)
-                if dest.value is UNWRITTEN:
-                    raise UnwrittenModError("mod body finished without writing")
-            except BaseException:
-                self.truncate_after(checkpoint)
-                raise
-            finally:
-                self._mod_depth -= 1
-                dest_stack.pop()
-        else:
-            # Nested / propagation-time mods are the hot case: no
-            # transaction checkpoint (propagate() owns recovery there).
-            self._mod_depth += 1
-            dest_stack.append(dest)
-            try:
-                comp(dest)
-                if dest.value is UNWRITTEN:
-                    raise UnwrittenModError("mod body finished without writing")
-            finally:
-                self._mod_depth -= 1
-                dest_stack.pop()
+        dest, checkpoint = self.mod_begin()
+        try:
+            comp(dest)
+        except BaseException:
+            self.mod_abort(dest, checkpoint)
+            raise
+        self.mod_end(dest, checkpoint)
         return dest
 
     def read(self, mod: Modifiable, reader: Callable[[Any], None]) -> None:
@@ -577,80 +545,13 @@ class Engine:
         ``reader`` is changeable code: it will be re-executed (with the new
         value) whenever ``mod`` changes.
         """
-        if self._mod_depth == 0 and self._reexec_depth == 0:
-            raise ReadOutsideModError("read outside the scope of any mod")
-        value = mod.value
-        if value is UNWRITTEN:
-            raise UnwrittenModError("read of an unwritten modifiable")
-        drain_feeds = self._drain_feeds
-        if drain_feeds is not None:
-            # Demand-drain hazard checks (see :class:`_DemandStaleRead`).
-            # A suspect modifiable outside the demand's relevance cone may
-            # be arbitrarily stale -- and stale structure can be *cyclic*
-            # (keyed_mod identity recycling), in which case following it
-            # diverges rather than converging through re-dirtying.  Refuse
-            # the read and let the drain widen the cone so the feeders run
-            # first.  The depth count is the backstop for a reader that
-            # slipped past the refusal and is chasing a loop anyway.
-            if self._drain_mask is not None:
-                if self._suspectish(mod) and not self._dest_relevant(
-                    mod, drain_feeds
-                ):
-                    raise _DemandStaleRead(mod)
-            elif mod.suspect and not self._feeds(mod, drain_feeds):
-                raise _DemandStaleRead(mod)
-            if self._demand_reads.get(id(mod), 0) >= self.CYCLE_READ_DEPTH:
-                raise _DemandStaleRead(mod)
-        # Hottest engine primitive: _advance() is inlined and the meter is
-        # fetched once (two stamps + two counters per read add up).
-        insert_after = self._insert_after
-        start = self.now = insert_after(self.now)
-        dest_stack = self._dest_stack
-        dest = dest_stack[-1] if dest_stack else None
-        pool = self._edge_pool
-        if pool:
-            edge = pool.pop()
-            edge.mod = mod
-            edge.reader = reader
-            edge.start = start
-            edge.end = None
-            edge.dest = dest
-            edge.dirty = False
-            edge.dead = False
-            self.edges_reused += 1
-        else:
-            edge = ReadEdge(mod, reader, start, dest)
-        start.owner = edge
-        mod.readers.add(edge)
-        if self._feeds_summary:
-            self._note_new_edge(edge)
-        meter = self.meter
-        meter.reads_executed += 1
-        meter.live_edges += 1
-        hook = self.hook
-        if hook is not None:
-            hook.on_read_start(edge)
-        if drain_feeds is None:
+        edge, value = self.read_begin(mod, reader)
+        try:
             reader(value)
-        else:
-            # Depth-count this read so the cycle backstop above can spot a
-            # reader chasing its own tail through stale structure.  Every
-            # mod is counted, not just suspect ones: a stale loop can pass
-            # through recycled cells that sit on no dirty dest chain.
-            reads = self._demand_reads
-            rkey = id(mod)
-            reads[rkey] = reads.get(rkey, 0) + 1
-            try:
-                reader(value)
-            finally:
-                depth = reads[rkey] - 1
-                if depth:
-                    reads[rkey] = depth
-                else:
-                    del reads[rkey]
-        edge.end = self.now = insert_after(self.now)
-        if hook is not None:
-            hook.on_read_end(edge)
+        except BaseException:
+            self.read_abort(edge)
+            raise
+        self.read_end(edge)
 
     def write(self, dest: Modifiable, value: Any) -> None:
         """Write ``value`` into destination ``dest``.
@@ -1227,21 +1128,16 @@ class Engine:
             self.meter.mods_created += 1
         if self.hook is not None:
             self.hook.on_mod_create(dest, False, recycled)
-        stamp = self._advance()
+        stamp = self.now = self._insert_after(self.now)
         self.alloc_table[key] = (dest, stamp, stamp.gen)
         self._mod_depth += 1
         self._dest_stack.append(dest)
         try:
             comp(dest)
-            if dest.value is UNWRITTEN:
-                raise UnwrittenModError("keyed_mod body finished without writing")
         except BaseException:
-            if outermost:
-                self.truncate_after(checkpoint)
+            self.mod_abort(dest, checkpoint)
             raise
-        finally:
-            self._mod_depth -= 1
-            self._dest_stack.pop()
+        self.mod_end(dest, checkpoint)
         return dest
 
     # ------------------------------------------------------------------
@@ -1255,109 +1151,29 @@ class Engine:
         result returned without recomputation.  Otherwise ``thunk`` runs and
         its interval and result are recorded.
         """
-        self._check_usable()
-        entries = self.memo_table.get(key)
-        if entries is not None:
-            hit: Optional[MemoEntry] = None
-            limit = self.reuse_limit
-            dead = 0
-            if limit is not None:
-                now_key = self.now.key
-                limit_key = limit.key
-                for entry in entries:
-                    if entry.dead:
-                        dead += 1
-                    elif (
-                        hit is None
-                        and now_key < entry.start.key
-                        and entry.end is not None
-                        and entry.end.key <= limit_key
-                    ):
-                        hit = entry
-            else:
-                for entry in entries:
-                    if entry.dead:
-                        dead += 1
-            if dead:
-                # Lazy per-key pruning: dead entries leave the bucket here,
-                # so they must also leave the dead-entry account that
-                # drives whole-table compaction.
-                live = [e for e in entries if not e.dead]
-                self._dead_memo_entries -= dead
-                if live:
-                    self.memo_table[key] = live
-                else:
-                    del self.memo_table[key]
-                if self.hook is None:
-                    pool = self._memo_pool
-                    cap = self.MEMO_POOL_CAP
-                    for entry in entries:
-                        if entry.dead and len(pool) < cap:
-                            entry.key = None
-                            entry.start = None
-                            entry.end = None
-                            pool.append(entry)
-            if hit is not None:
-                # Splice: discard the skipped old trace, jump past the hit.
-                if self.hook is not None:
-                    self.hook.on_memo_hit(hit)
-                self._delete_range(self.now, hit.start)
-                self.now = hit.end
-                self.meter.memo_hits += 1
-                if self.hook is not None:
-                    self.hook.on_splice(hit)
-                return hit.result
-        self.meter.memo_misses += 1
-        if self.hook is not None:
-            self.hook.on_memo_miss(key)
-        start = self.now = self._insert_after(self.now)
-        pool = self._memo_pool
-        if pool:
-            entry = pool.pop()
-            entry.key = key
-            entry.result = None
-            entry.start = start
-            entry.end = None
-            entry.dead = False
-            self.memo_entries_reused += 1
-        else:
-            entry = MemoEntry(key, start)
-        start.owner = entry
-        self.meter.live_memo_entries += 1
+        hit, result, entry = self.memo_probe(key)
+        if hit:
+            return result
         result = thunk()
-        entry.end = self.now = self._insert_after(self.now)
-        entry.result = result
-        self.memo_table.setdefault(key, []).append(entry)
+        self.memo_commit(entry, result)
         return result
 
     # ------------------------------------------------------------------
-    # Split primitives (stack-machine backend)
-    #
-    # ``mod``/``read``/``memo`` above run their body synchronously: the
-    # engine calls back into the backend (``comp``/``reader``/``thunk``)
-    # and stamps the interval end after the callback returns, so every
-    # traced nesting level costs a live Python frame.  The stack-machine
-    # backend (:mod:`repro.compile.stackmachine`) replaces that host
-    # recursion with an explicit control stack, which requires the same
-    # protocols split into begin/end/abort halves it can interleave with
-    # its own dispatch.  Each half below mirrors its recursive original
-    # line for line -- same stamps in the same order, same meter
-    # increments, same hook emissions, same pooling, same demand-hazard
-    # checks -- and the differential grid in
-    # ``tests/test_backends_differential.py`` holds them to meter-exact
-    # equality.  When editing ``mod``/``read``/``memo``, edit these too.
+    # Split primitives: the one implementation of read/mod/memo.  The
+    # stack machine calls these halves directly; ``read``, ``mod``,
+    # ``keyed_mod`` and ``memo`` above are callback wrappers over them.
 
     def read_begin(
         self, mod: Modifiable, reader: Callable[[Any], None]
     ) -> Tuple[ReadEdge, Any]:
-        """First half of :meth:`read`: register the edge, return its value.
+        """Open a read of ``mod``: register the edge, return its value.
 
-        Performs everything :meth:`read` does up to (but excluding) the
-        ``reader(value)`` callback: hazard checks, start stamp, edge
-        allocation and registration, meters, hooks, and the demand-drain
-        depth count.  The caller must execute the reader body itself and
-        finish with :meth:`read_end` (success) or :meth:`read_abort`
-        (exception unwinding).
+        Runs the demand-drain hazard checks (see :class:`_DemandStaleRead`),
+        the start stamp, edge allocation, meters, hook and drain depth
+        count (every mod is counted, not just suspect ones: a stale loop
+        can pass through recycled cells on no dirty dest chain).  The
+        caller runs the reader body and finishes with
+        :meth:`read_end` (success) or :meth:`read_abort` (it raised).
         """
         if self._mod_depth == 0 and self._reexec_depth == 0:
             raise ReadOutsideModError("read outside the scope of any mod")
@@ -1407,7 +1223,8 @@ class Engine:
         return edge, value
 
     def read_end(self, edge: ReadEdge) -> None:
-        """Second half of :meth:`read`: the reader body completed normally."""
+        """Close a read whose body completed: release the depth count,
+        stamp the end, emit ``on_read_end``."""
         if self._drain_feeds is not None:
             reads = self._demand_reads
             rkey = id(edge.mod)
@@ -1421,13 +1238,12 @@ class Engine:
             self.hook.on_read_end(edge)
 
     def read_abort(self, edge: ReadEdge) -> None:
-        """Unwind half of :meth:`read`: the reader body raised.
+        """Unwind a read whose body raised.
 
-        Mirrors the recursive ``read``'s ``finally`` when the reader
-        raises: only the demand-drain depth count is released -- no end
-        stamp, no hook.  Trace surgery is owned by the enclosing
-        transaction (outermost :meth:`mod` truncation or
-        ``_unwind_reexec``), exactly as for the recursive backends.
+        Only the demand-drain depth count is released -- no end stamp, no
+        hook.  Trace surgery is owned by the enclosing transaction
+        (outermost mod truncation in :meth:`mod_abort`/:meth:`mod_end`, or
+        ``_unwind_reexec`` during propagation).
         """
         if self._drain_feeds is not None:
             reads = self._demand_reads
@@ -1439,7 +1255,7 @@ class Engine:
                 del reads[rkey]
 
     def mod_begin(self) -> Tuple[Modifiable, Optional[Stamp]]:
-        """First half of :meth:`mod`: allocate the destination.
+        """Open a mod: allocate the destination and push it.
 
         Returns ``(dest, checkpoint)``; ``checkpoint`` is non-None exactly
         when this is an *outermost* mod (no enclosing mod, not inside
@@ -1464,11 +1280,9 @@ class Engine:
     def mod_end(
         self, dest: Modifiable, checkpoint: Optional[Stamp]
     ) -> None:
-        """Second half of :meth:`mod`: the body completed normally."""
+        """Close a mod whose body completed; an unwritten ``dest`` fails
+        like a raising body (truncate, unwind, :class:`UnwrittenModError`)."""
         if dest.value is UNWRITTEN:
-            # Same order as the recursive original: the outermost
-            # transaction truncates (``except``) before the depth/dest
-            # bookkeeping unwinds (``finally``).
             if checkpoint is not None:
                 self.truncate_after(checkpoint)
             self._mod_depth -= 1
@@ -1480,7 +1294,8 @@ class Engine:
     def mod_abort(
         self, dest: Modifiable, checkpoint: Optional[Stamp]
     ) -> None:
-        """Unwind half of :meth:`mod`: the body raised."""
+        """Unwind a mod whose body raised: truncate the partial trace if
+        this was the outermost mod, then pop the depth/dest bookkeeping."""
         if checkpoint is not None:
             self.truncate_after(checkpoint)
         self._mod_depth -= 1
@@ -1489,14 +1304,16 @@ class Engine:
     def memo_probe(
         self, key: Hashable
     ) -> Tuple[bool, Any, Optional[MemoEntry]]:
-        """First half of :meth:`memo`: look up ``key``, splice on a hit.
+        """Look up memo ``key``; splice the old sub-trace in on a hit.
 
         Returns ``(True, result, None)`` on a hit (the old sub-trace is
         already spliced in) or ``(False, None, entry)`` on a miss, in
         which case the caller must run the thunk body and finish with
         :meth:`memo_commit`.  If the body raises, no cleanup call is
         needed: the entry's open interval is reclaimed by the enclosing
-        transaction's truncation, as in the recursive original.
+        transaction's truncation.  Dead entries met in the bucket are
+        pruned, so they also leave the dead-entry account that drives
+        whole-table compaction.
         """
         self._check_usable()
         entries = self.memo_table.get(key)
@@ -1566,7 +1383,7 @@ class Engine:
         return False, None, entry
 
     def memo_commit(self, entry: MemoEntry, result: Any) -> None:
-        """Second half of :meth:`memo`: record the thunk's result."""
+        """Close a memo miss: stamp the end and record the thunk's result."""
         entry.end = self.now = self._insert_after(self.now)
         entry.result = result
         self.memo_table.setdefault(entry.key, []).append(entry)

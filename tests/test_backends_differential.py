@@ -4,26 +4,32 @@ The compiled backends (:mod:`repro.compile.closures` and
 :mod:`repro.compile.stackmachine`) promise more than equal outputs: they
 call the engine's ``mod``/``read``/``write``/``memo``/``impwrite``
 primitives in *exactly* the same sequence as the tree-walking interpreter,
-with equal memo keys and equal written values.  (The stack machine drives
-the split ``*_begin``/``*_end`` halves of those primitives, which must
-interleave to the identical protocol.)  If that holds, the meter counters
--- mods created, reads executed, writes, cutoff hits, memo hits and
-misses, edges re-executed, live trace sizes -- must be *identical* at
-every point of every run.
+with equal memo keys and equal written values.  (The recursive backends
+call ``mod``/``read``/``memo``, thin wrappers over the engine's
+``*_begin``/``*_end``/``*_abort`` halves; the stack machine calls those
+halves directly from its own dispatch loop.)  If that holds, the meter
+counters -- mods created, reads executed, writes, cutoff hits, memo hits
+and misses, edges re-executed, live trace sizes -- must be *identical* at
+every point of every run, and so must the stream of hook events.
 
 These tests assert exactly that: for every registered application, across
 the optimize x memoize grid, all registered backends produce identical
 outputs AND identical meter snapshots after the initial run and after
-every one of a series of seeded incremental changes.
+every one of a series of seeded incremental changes.  A separate, smaller
+check attaches an event log and compares the event-kind sequence, eager
+and lazy; it stays out of the grid because an attached hook disables
+record pooling.
 """
 
 import random
 
 import pytest
 
+from repro.api import Session
 from repro.apps import REGISTRY
 from repro.backends import BACKENDS
-from repro.sac.engine import Engine
+from repro.obs import EventLog
+from repro.sac.engine import Engine, Modifiable
 
 #: Per-app input size and change count, kept small: the grid below runs
 #: every case once per backend.  block-mat-mult needs n to be a multiple
@@ -120,3 +126,52 @@ def test_backends_agree_coarse(name):
         REGISTRY[name], 12, 5,
         memoize=True, optimize_flag=False, coarse=True,
     )
+
+
+def _first_mod(value):
+    """The first modifiable in an output value (a modifiable or a nested
+    tuple of them), for :meth:`Session.get`."""
+    if isinstance(value, Modifiable):
+        return value
+    for item in value:
+        found = _first_mod(item)
+        if found is not None:
+            return found
+    return None
+
+
+def event_kinds(app, n, changes, backend, mode, seed=3):
+    """The hook event kinds of one run plus ``changes`` edits, in order.
+
+    Eager edits are applied with ``propagate``; lazy ones are pulled with
+    ``get`` on one output modifiable, then ``demand`` on the whole output.
+    """
+    rng = random.Random(seed)
+    log = EventLog(maxlen=None)
+    session = Session(app, backend=backend, mode=mode, hook=log)
+    output = session.run(data=app.make_data(n, rng))
+    for step in range(changes):
+        app.apply_change(session.input_handle, rng, step)
+        if mode == "eager":
+            session.propagate()
+        else:
+            session.get(_first_mod(output))
+            session.demand()
+    return [event.kind for event in log.events]
+
+
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+@pytest.mark.parametrize(
+    "name,n,changes", [("msort", 16, 4), ("qsort", 16, 4), ("raytracer", 4, 2)]
+)
+def test_backends_emit_same_hook_stream(name, n, changes, mode):
+    app = REGISTRY[name]
+    reference = event_kinds(app, n, changes, "interp", mode)
+    assert "read-start" in reference and "memo-miss" in reference
+    for backend in BACKENDS:
+        if backend == "interp":
+            continue
+        other = event_kinds(app, n, changes, backend, mode)
+        assert other == reference, (
+            f"{name} [{mode}]: {backend} hook stream diverges from interp"
+        )

@@ -198,6 +198,23 @@ def test_check_trace_detects_stale_queue_snapshot():
         check_trace(engine)
 
 
+@pytest.mark.parametrize(
+    "field, leftover",
+    [
+        ("_mod_depth", 1),
+        ("_reexec_depth", 1),
+        ("_dest_stack", [None]),
+        ("_demand_reads", {1: 1}),
+    ],
+)
+def test_check_trace_detects_leftover_scope_bookkeeping(field, leftover):
+    engine, _, _ = _two_read_engine()
+    setattr(engine, field, leftover)  # a scope an unwind forgot to close
+    check_trace(engine, expect_quiescent=False)  # fine mid-run...
+    with pytest.raises(InvariantViolation, match=field):
+        check_trace(engine)  # ...but not at rest
+
+
 # ----------------------------------------------------------------------
 # InvariantChecker: dynamic discipline (driven with fabricated events)
 

@@ -265,8 +265,17 @@ def test_poisoned_engine_refuses_all_work():
 # Transactional initial runs
 
 
-def test_failed_mod_truncates_partial_trace():
+@pytest.mark.parametrize(
+    "allocator",
+    [
+        lambda engine: engine.mod,
+        lambda engine: lambda comp: engine.keyed_mod("k", comp),
+    ],
+    ids=["mod", "keyed_mod"],
+)
+def test_failed_mod_truncates_partial_trace(allocator):
     engine = Engine()
+    alloc = allocator(engine)
     m = engine.make_input(3)
     ok = engine.mod(
         lambda dest: engine.read(m, lambda v: engine.write(dest, v + 1))
@@ -278,16 +287,22 @@ def test_failed_mod_truncates_partial_trace():
         raise RuntimeError("late failure")
 
     with pytest.raises(RuntimeError):
-        engine.mod(exploding)
-    # The partial trace is gone; earlier structure is untouched.
+        alloc(exploding)
+    # The partial trace (for keyed_mod, its allocation stamp too) is gone;
+    # earlier structure is untouched.
     assert engine.trace_size() == size_before
     assert engine.meter.run_aborts == 1
     check_trace(engine, expect_quiescent=True, expect_empty_queue=True)
 
-    # The engine still works end to end.
+    # The engine still works end to end, including a fresh allocation
+    # (under the same key, for keyed_mod).
+    later = alloc(lambda dest: engine.read(m, lambda v: engine.write(dest, 2 * v)))
+    assert later.peek() == 6
     engine.change(m, 10)
     engine.propagate()
     assert ok.peek() == 11
+    assert later.peek() == 20
+    check_trace(engine, expect_quiescent=True, expect_empty_queue=True)
 
 
 def test_session_run_failure_is_transactional():
